@@ -221,11 +221,20 @@ func (l *L1) ValidLines() int {
 	return n
 }
 
-// ForEachValidLine calls fn for every valid line number.
+// LineAt returns the line frame idx holds and its dirty flag; ok is
+// false for an invalid frame. There are Config().Lines() frames, so a
+// whole-cache audit walks them directly instead of through a callback.
+func (l *L1) LineAt(idx int) (line uint64, dirty, ok bool) {
+	w := l.words[idx]
+	return (w>>l1TagShift)<<l.idxBits | uint64(idx), w&l1Dirty != 0, w&l1Valid != 0
+}
+
+// ForEachValidLine calls fn for every valid line number. Intended for
+// tests.
 func (l *L1) ForEachValidLine(fn func(line uint64, dirty bool)) {
-	for idx, w := range l.words {
-		if w&l1Valid != 0 {
-			fn((w>>l1TagShift)<<l.idxBits|uint64(idx), w&l1Dirty != 0)
+	for idx := range l.words {
+		if line, dirty, ok := l.LineAt(idx); ok {
+			fn(line, dirty)
 		}
 	}
 }

@@ -231,8 +231,8 @@ func (l *L2) InvalidateAt(f Frame, unit uint64) (prior State, blockFreed bool) {
 	return prior, true
 }
 
-// blockOf returns the block address held by a resident frame.
-func (l *L2) blockOf(f Frame) uint64 {
+// FrameBlock returns the block address held by a resident frame.
+func (l *L2) FrameBlock(f Frame) uint64 {
 	set := uint64(int(f) >> l.assocShift)
 	return uint64(l.tags[f])<<l.setBits | set
 }
@@ -264,7 +264,7 @@ func (l *L2) EnsureFrame(block uint64) (ev *Eviction, allocated bool, f Frame) {
 	f = Frame(base + victim)
 	ubase := int(f) << l.upbShift
 	if l.tags[f] != emptyTag {
-		l.ev.Block = l.blockOf(f)
+		l.ev.Block = l.FrameBlock(f)
 		l.ev.Units = l.ev.Units[:0]
 		for i := 0; i < l.upb; i++ {
 			if b := l.units[ubase+i]; b&unitStateMask != 0 {
@@ -364,18 +364,34 @@ func (l *L2) LiveBlocks() int {
 	return n
 }
 
-// ForEachValidUnit calls fn for every valid unit. Iteration order is
-// arbitrary but deterministic. Intended for invariant checks and tests.
-func (l *L2) ForEachValidUnit(fn func(unit uint64, s State)) {
-	for f := range l.tags {
-		if l.tags[f] == emptyTag {
-			continue
+// NextLive returns the first frame at or after f that holds a block, or
+// NoFrame. Frames are numbered set-major (set s owns frames s*Assoc
+// through s*Assoc+Assoc-1), so a whole-cache audit walks the packed
+// arrays with NextLive, FrameBlock and FrameState instead of a callback
+// per unit, skipping free frames in a tight scan of the tag array.
+func (l *L2) NextLive(f Frame) Frame {
+	for i := int(f); i < len(l.tags); i++ {
+		if l.tags[i] != emptyTag {
+			return Frame(i)
 		}
-		block := l.blockOf(Frame(f))
-		base := f << l.upbShift
+	}
+	return NoFrame
+}
+
+// FrameState returns the MOESI state of unit i (0 <= i < UnitsPerBlock)
+// of frame f.
+func (l *L2) FrameState(f Frame, i int) State {
+	return State(l.units[int(f)<<l.upbShift|i] & unitStateMask)
+}
+
+// ForEachValidUnit calls fn for every valid unit. Iteration order is
+// arbitrary but deterministic. Intended for tests.
+func (l *L2) ForEachValidUnit(fn func(unit uint64, s State)) {
+	for f := l.NextLive(0); f.Ok(); f = l.NextLive(f + 1) {
+		block := l.FrameBlock(f)
 		for i := 0; i < l.upb; i++ {
-			if b := l.units[base+i]; b&unitStateMask != 0 {
-				fn(block<<l.upbShift|uint64(i), State(b&unitStateMask))
+			if st := l.FrameState(f, i); st.Valid() {
+				fn(block<<l.upbShift|uint64(i), st)
 			}
 		}
 	}

@@ -331,6 +331,10 @@ func (j *Job) Wait(ctx context.Context) (any, error) {
 	return j.exec.result, j.exec.err
 }
 
+// Done returns a channel that is closed once the job reaches a terminal
+// state (done, failed or canceled).
+func (j *Job) Done() <-chan struct{} { return j.exec.finished }
+
 // Cancel withdraws this handle's interest. The underlying execution is
 // canceled once all of its handles have been canceled (or the engine is
 // closed). Cancel is idempotent and safe after completion.

@@ -154,7 +154,7 @@ func (e *Exclude) Config() ExcludeConfig { return e.cfg }
 // key returns the address the filter tracks an entry under: the block
 // address for plain EJ, the unit address for VEJ.
 func (e *Exclude) key(unit, block uint64) uint64 {
-	if e.cfg.Vector > 1 {
+	if e.RecordsUnits() {
 		return unit
 	}
 	return block
@@ -231,6 +231,20 @@ func (e *Exclude) Peek(unit, block uint64) bool {
 	set, tag, bit := e.split(e.key(unit, block))
 	w := e.find(set, tag)
 	return w >= 0 && e.ents[set*e.cfg.Ways+w].pv&bit != 0
+}
+
+// RecordsUnits reports whether the filter's keys are coherence units (a
+// VEJ) rather than blocks (a plain EJ).
+func (e *Exclude) RecordsUnits() bool { return e.cfg.Vector > 1 }
+
+// Entry returns what entry i (0 <= i < Config().Entries()) records as
+// absent: bit b of pv set means key first+b is claimed absent, where a
+// key is a unit or a block as RecordsUnits says. An invalid entry has
+// pv == 0. Safety audits walk the entries from the filter side with it.
+func (e *Exclude) Entry(i int) (first, pv uint64) {
+	ent := e.ents[i]
+	set := uint64(i / e.cfg.Ways)
+	return ent.tag<<e.tagShift | set<<e.vecBits, ent.pv
 }
 
 // SnoopMiss implements Filter: record that a snoop missed in the local

@@ -204,10 +204,29 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 // livePollPeriod bounds how long a live stream can go without
-// re-checking experiment state (terminal detection, client liveness):
-// window publishes wake it immediately, the ticker catches everything
-// else.
+// re-checking experiment state. Window publishes and job completions
+// (the only moments an experiment can turn terminal) wake it at once;
+// the tick is a backstop.
 const livePollPeriod = 100 * time.Millisecond
+
+// jobsFinishing returns a channel that receives after any of the jobs
+// finishes (at most one pending wake-up), until ctx is done.
+func jobsFinishing(ctx context.Context, jobs []*engine.Job) <-chan struct{} {
+	wake := make(chan struct{}, 1)
+	for _, j := range jobs {
+		go func() {
+			select {
+			case <-j.Done():
+				select {
+				case wake <- struct{}{}:
+				default:
+				}
+			case <-ctx.Done():
+			}
+		}()
+	}
+	return wake
+}
 
 // handleLive streams an experiment's windows as SSE:
 //
@@ -239,7 +258,10 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	if exp.feed != nil {
 		cursors = make([]int, len(exp.jobs))
 	}
-	ticker := time.NewTicker(livePollPeriod)
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	finishing := jobsFinishing(ctx, exp.jobs)
+	ticker := time.NewTicker(s.livePoll)
 	defer ticker.Stop()
 	for {
 		st := exp.status()
@@ -273,18 +295,11 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 			return
 		}
-		if wait == nil {
-			select {
-			case <-r.Context().Done():
-				return
-			case <-ticker.C:
-			}
-			continue
-		}
 		select {
-		case <-r.Context().Done():
+		case <-ctx.Done():
 			return
-		case <-wait:
+		case <-wait: // a nil wait (unsampled) never fires
+		case <-finishing:
 		case <-ticker.C:
 		}
 	}

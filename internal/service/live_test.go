@@ -286,6 +286,71 @@ func TestLiveStreamUnsampledAndCanceled(t *testing.T) {
 	}
 }
 
+// TestLiveStreamEndsWithoutPollTick pins the end of a live stream to
+// the experiment's finish rather than to the poll tick: with the tick
+// pushed far past the test's deadline, a sampled and an unsampled
+// stream must both still close with done.
+func TestLiveStreamEndsWithoutPollTick(t *testing.T) {
+	s := New(Options{Workers: 1})
+	s.livePoll = time.Hour // before any server goroutine reads it
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	base := ts.URL
+
+	// Hold the only worker, so both experiments under test are still
+	// queued when their streams attach.
+	var blocker ExperimentStatus
+	doJSON(t, "POST", base+"/v1/experiments",
+		SubmitRequest{Apps: []string{"Fmm"}, Scale: 20, Filters: []string{"EJ-8x2"}}, &blocker)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var st ExperimentStatus
+		doJSON(t, "GET", base+"/v1/experiments/"+blocker.ID, nil, &st)
+		if st.State == "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("blocker stuck in %s", st.State)
+		}
+	}
+
+	client := &http.Client{Timeout: 30 * time.Second}
+	var bodies []io.ReadCloser
+	for _, req := range []SubmitRequest{
+		{Apps: []string{"Lu"}, Scale: 0.02, Filters: []string{"EJ-16x2"}, Interval: 512},
+		{Apps: []string{"Lu"}, Scale: 0.02, Filters: []string{"EJ-32x4"}},
+	} {
+		var st ExperimentStatus
+		doJSON(t, "POST", base+"/v1/experiments", req, &st)
+		resp, err := client.Get(base + "/v1/experiments/" + st.ID + "/live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("live code %d", resp.StatusCode)
+		}
+		bodies = append(bodies, resp.Body)
+	}
+	doJSON(t, "DELETE", base+"/v1/experiments/"+blocker.ID, nil, nil)
+
+	for i, body := range bodies {
+		events := readSSE(t, body, 1<<20)
+		if len(events) == 0 || events[len(events)-1].event != "done" {
+			t.Fatalf("stream %d ended without done (%d events): it waited for the poll tick", i, len(events))
+		}
+		var final ExperimentStatus
+		if err := json.Unmarshal([]byte(events[len(events)-1].data), &final); err != nil {
+			t.Fatal(err)
+		}
+		if final.State != "done" {
+			t.Errorf("stream %d: done event carries state %q", i, final.State)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	s, base := newTestServer(t, Options{Workers: 1})
 

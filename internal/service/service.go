@@ -157,8 +157,9 @@ type Server struct {
 	role            string
 	store           *store.Store // nil when the daemon is not durable
 
-	tel      *telemetry  // instruments, logger, slow-job threshold
-	draining atomic.Bool // set by SetDraining during shutdown
+	tel      *telemetry    // instruments, logger, slow-job threshold
+	draining atomic.Bool   // set by SetDraining during shutdown
+	livePoll time.Duration // live-stream liveness tick (livePollPeriod)
 
 	mu          sync.Mutex
 	exps        map[string]*experiment
@@ -251,6 +252,7 @@ func New(opts Options) *Server {
 		role:            role,
 		store:           opts.Store,
 		tel:             tel,
+		livePoll:        livePollPeriod,
 		exps:            make(map[string]*experiment),
 		sweeps:          make(map[string]*sweepJob),
 		cellRuns:        make(map[string]*cellRun),

@@ -43,53 +43,44 @@ func Fingerprint(sp workload.Spec, cfg smp.Config) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// progressChunk is roughly how many references run between progress
-// reports and cancellation checks. The actual chunk is rounded down to a
-// multiple of the CPU count so every chunk ends exactly on a round-robin
-// cycle boundary — the run decomposition the serial path would also pass
-// through, keeping chunked execution bit-identical.
-const progressChunk = 1 << 16
-
-// runChunked drives sys over src for up to accesses references in
-// interleaving-preserving chunks: every chunk ends exactly on a
-// round-robin cycle boundary, the decomposition the uninterrupted path
-// would also pass through, so chunking never perturbs determinism. It
-// stops early (without error) if the source runs dry — replayed traces
-// are finite even when the budget says otherwise.
-func runChunked(ctx context.Context, sys *smp.System, src trace.Source, accesses uint64, report func(done uint64)) error {
-	ncpu := src.CPUs()
-	if ncpu > sys.Config().CPUs {
-		ncpu = sys.Config().CPUs
-	}
-	chunk := uint64(progressChunk)
-	chunk -= chunk % uint64(ncpu)
-	if chunk == 0 {
-		chunk = uint64(ncpu)
-	}
-
+// runGenerated drives sys over the generated stream src for accesses
+// references in batches: each batch is filled into buf in System.Run's
+// round-robin order (whole turns, so every batch starts at CPU 0 as
+// each of Run's chunks does) and stepped with StepBatch, the loop
+// stored traces replay through. The machine therefore sees exactly the
+// reference sequence RunApp's System.Run gives it. If tw is non-nil,
+// every batch is also recorded into it in stepped order; a recording
+// error does not stop the run but is returned after it. report (if
+// non-nil) receives the references completed after each batch, and
+// ctx is checked between batches.
+func runGenerated(ctx context.Context, sys *smp.System, src workload.Stream, accesses uint64, buf []trace.Rec, tw *trace.Writer, report func(done uint64)) error {
+	ncpu := min(src.CPUs(), sys.Config().CPUs)
+	batch := uint64(len(buf) - len(buf)%ncpu)
 	var done uint64
+	var werr error
 	for done < accesses {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		n := chunk
-		if rem := accesses - done; rem < n {
-			n = rem
+		recs := buf[:min(batch, accesses-done)]
+		src.Fill(recs)
+		for i := 0; tw != nil && werr == nil && i < len(recs); i++ {
+			werr = tw.Write(int(recs[i].CPU), trace.Ref{Op: recs[i].Op, Addr: recs[i].Addr})
 		}
-		ran := sys.Run(src, n)
-		done += ran
+		sys.StepBatch(recs)
+		done += uint64(len(recs))
 		if report != nil {
 			report(done)
 		}
-		if ran == 0 {
-			return nil
-		}
+	}
+	if werr != nil {
+		return fmt.Errorf("sim: recording trace: %w", werr)
 	}
 	return nil
 }
 
 // RunAppCtx is RunApp with cooperative cancellation and progress
-// reporting: the simulation runs in interleaving-preserving chunks,
+// reporting: the simulation runs in interleaving-preserving batches,
 // calling report (if non-nil) with the references completed so far and
 // returning ctx.Err() promptly after cancellation. Results are
 // bit-identical to RunApp.
@@ -163,19 +154,8 @@ func runApp(ctx context.Context, sp workload.Spec, cfg smp.Config, tw *trace.Wri
 		}
 		sys.SetSampler(sm)
 	}
-	var src trace.Source = sp.Source(cfg.CPUs)
-	var cp *trace.Capture
-	if tw != nil {
-		cp = trace.NewCapture(src, tw)
-		src = cp
-	}
-	if err := runChunked(ctx, sys, src, sp.Accesses, report); err != nil {
+	if err := runGenerated(ctx, sys, sp.Source(cfg.CPUs), sp.Accesses, recBuf(ctx), tw, report); err != nil {
 		return AppResult{}, err
-	}
-	if cp != nil {
-		if err := cp.Err(); err != nil {
-			return AppResult{}, fmt.Errorf("sim: recording trace: %w", err)
-		}
 	}
 	return finishRun(sys, sp, cfg)
 }

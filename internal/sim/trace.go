@@ -93,27 +93,29 @@ func (in TraceInput) pseudoSpec() workload.Spec {
 	return workload.Spec{Name: in.Name, Accesses: in.Records}
 }
 
-// replayBatchRecords is the record-buffer size of the batched replay
-// loop: large enough to amortize decode framing, small enough to stay
-// cache-resident and keep cancellation latency low.
-const replayBatchRecords = 8192
+// batchRecords is the record-buffer size of the batched stepping loops
+// (trace replay and generated runs): large enough to amortize decode
+// framing and per-batch checks, small enough (16 KB) that a batch is
+// still in the L1 cache when it is stepped, and that the buffer each
+// engine worker keeps costs little memory.
+const batchRecords = 1024
 
-// replayBufKey keys the reusable replay record buffer in an engine
-// worker's Scratch.
-type replayBufKey struct{}
+// recBufKey keys the reusable record buffer in an engine worker's
+// Scratch.
+type recBufKey struct{}
 
-// replayBuf returns a replay record buffer, reusing the per-worker one
-// when the run executes on an engine worker (engine.ScratchFrom).
-func replayBuf(ctx context.Context) []trace.Rec {
+// recBuf returns a record buffer, reusing the per-worker one when the
+// run executes on an engine worker (engine.ScratchFrom).
+func recBuf(ctx context.Context) []trace.Rec {
 	sc := engine.ScratchFrom(ctx)
 	if sc == nil {
-		return make([]trace.Rec, replayBatchRecords)
+		return make([]trace.Rec, batchRecords)
 	}
-	if buf, ok := sc.Get(replayBufKey{}).([]trace.Rec); ok {
+	if buf, ok := sc.Get(recBufKey{}).([]trace.Rec); ok {
 		return buf
 	}
-	buf := make([]trace.Rec, replayBatchRecords)
-	sc.Put(replayBufKey{}, buf)
+	buf := make([]trace.Rec, batchRecords)
+	sc.Put(recBufKey{}, buf)
 	return buf
 }
 
@@ -160,7 +162,7 @@ func runTrace(ctx context.Context, in TraceInput, cfg smp.Config, opt SampleOpti
 		}
 		sys.SetSampler(sm)
 	}
-	buf := replayBuf(ctx)
+	buf := recBuf(ctx)
 	var done uint64
 	for {
 		if err := ctx.Err(); err != nil {

@@ -65,6 +65,30 @@ func TestTraceReplayMatchesDirect(t *testing.T) {
 		if tw.Records() != direct.Refs {
 			t.Fatalf("captured %d records, run stepped %d", tw.Records(), direct.Refs)
 		}
+		// The file is byte for byte what a round-robin pull of the
+		// generator writes, whatever batches the run generated in.
+		var want bytes.Buffer
+		rw, err := trace.NewWriter(&want, cfg.CPUs, trace.WriterOptions{
+			Compress: compress,
+			Meta:     trace.Meta{App: sp.Name},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := sp.Source(cfg.CPUs)
+		for i := uint64(0); i < sp.Accesses; i++ {
+			cpu := int(i % uint64(cfg.CPUs))
+			ref, _ := src.Next(cpu)
+			if err := rw.Write(cpu, ref); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file.Bytes(), want.Bytes()) {
+			t.Errorf("compress=%v: captured trace differs from the round-robin recording", compress)
+		}
 
 		// Replay the file and demand identical statistics.
 		in, err := LoadTrace("", file.Bytes())

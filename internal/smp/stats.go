@@ -1,9 +1,6 @@
 package smp
 
 import (
-	"fmt"
-	"jetty/internal/cache"
-
 	"jetty/internal/bus"
 	"jetty/internal/energy"
 )
@@ -66,42 +63,6 @@ func (s *System) Coverage(idx int) float64 {
 		return 0
 	}
 	return float64(fc.Filtered) / float64(misses)
-}
-
-// CheckFilterSafety returns an error if any filter ever filtered a snoop
-// to a cached unit (the paper's requirement 3, which must never happen).
-// Beyond the per-snoop audit trail, it sweeps every valid unit of every
-// CPU's L2 against that CPU's filters with side-effect-free peeks: a
-// filter claiming any resident unit absent is a safety violation even if
-// no snoop happened to expose it.
-func (s *System) CheckFilterSafety() error {
-	for i := range s.cfg.Filters {
-		if c := s.FilterCounts(i); c.FilteredHits != 0 {
-			return fmt.Errorf("smp: filter %s filtered %d snoops to cached units",
-				s.cfg.Filters[i].Name(), c.FilteredHits)
-		}
-	}
-	for i := range s.nodes {
-		n := &s.nodes[i]
-		var err error
-		n.l2.ForEachValidUnit(func(unit uint64, _ cache.State) {
-			if err != nil {
-				return
-			}
-			block := s.geom.BlockOfUnit(unit)
-			for i, f := range n.filters {
-				if f.Peek(unit, block) {
-					err = fmt.Errorf("smp: cpu%d filter %s claims resident unit %#x absent",
-						n.id, s.cfg.Filters[i].Name(), unit)
-					return
-				}
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // L1HitRate returns the aggregate L1 hit rate over core-side L1 probes.

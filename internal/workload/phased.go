@@ -70,8 +70,8 @@ func (sp Spec) validatePhases() error {
 // phasedSource builds the phase-splicing source: one generator per
 // phase over a shared page table, switched per CPU at fixed reference
 // boundaries.
-func (sp Spec) phasedSource(cpus int) trace.Source {
-	pt := newPageTable()
+func (sp Spec) phasedSource(cpus int) *phasedSource {
+	pt := sp.newPageTable(cpus)
 	p := &phasedSource{
 		cpus:   cpus,
 		gens:   make([]*generator, len(sp.Phases)),
@@ -119,4 +119,16 @@ func (p *phasedSource) Next(cpu int) (trace.Ref, bool) {
 	}
 	p.served[cpu]++
 	return p.gens[p.phase[cpu]].Next(cpu)
+}
+
+// Fill implements Stream.
+func (p *phasedSource) Fill(dst []trace.Rec) {
+	cpu := 0
+	for i := range dst {
+		ref, _ := p.Next(cpu)
+		dst[i] = trace.Rec{Addr: ref.Addr, CPU: int32(cpu), Op: ref.Op}
+		if cpu++; cpu == p.cpus {
+			cpu = 0
+		}
+	}
 }

@@ -122,6 +122,10 @@ func (sp Spec) Validate() error {
 	if sp.Wide.Frac > 0 && sp.Wide.Bytes == 0 {
 		return fmt.Errorf("workload %s: wide sharing without bytes", sp.Name)
 	}
+	if max(sp.Hot.Bytes, sp.Warm.Bytes, sp.Stream.Bytes, sp.Pair.Bytes, uint64(sp.Mig.Records)*migRecordBytes,
+		sp.Wide.Bytes, sp.Zipf.Bytes) > regionGap {
+		return fmt.Errorf("workload %s: a region exceeds the %d MB region spacing", sp.Name, regionGap>>20)
+	}
 	if sp.Zipf.Frac > 0 {
 		if sp.Zipf.Bytes < migRecordBytes {
 			return fmt.Errorf("workload %s: zipf sharing needs at least one 64-byte block", sp.Name)
@@ -142,14 +146,20 @@ func (sp Spec) Validate() error {
 // the per-region maximum across phases, not a sum (and not the largest
 // single phase — different phases may dominate different regions).
 func (sp Spec) MemoryBytes(cpus int) uint64 {
-	if len(sp.Phases) > 0 {
-		var u regionBytes
-		for _, ph := range sp.Phases {
-			u.union(ph.Spec.regions())
-		}
-		return u.total(cpus)
+	return sp.footprint().total(cpus)
+}
+
+// footprint returns the spec's per-region footprint: for a phased
+// scenario, the union over its phases.
+func (sp Spec) footprint() regionBytes {
+	if len(sp.Phases) == 0 {
+		return sp.regions()
 	}
-	return sp.regions().total(cpus)
+	var u regionBytes
+	for _, ph := range sp.Phases {
+		u.union(ph.Spec.regions())
+	}
+	return u
 }
 
 // regionBytes is a spec's footprint split by region (only regions with
@@ -193,64 +203,98 @@ func (r regionBytes) total(cpus int) uint64 {
 // migRecordBytes is the size of one migratory record (one L2 block).
 const migRecordBytes = 64
 
-// regionGap pads region bases apart so tiers never overlap.
-const regionGap = 1 << 26 // 64 MB
+// Region layout: region slot i (see the slot constants) starts at
+// regionGap + i*regionStride. The gap keeps tiers apart (Validate caps
+// every region at regionGap bytes, so they never overlap) and the
+// page-coloured skew keeps regions from all colliding in the same L1/L2
+// sets (a real allocator spreads them too).
+const (
+	regionGap    = 1 << 26 // 64 MB
+	regionSkew   = 4813 * 64
+	regionStride = regionGap + regionSkew
+)
+
+// Region slots: per CPU i the hot, warm, stream and pair tiers occupy
+// slots 4i to 4i+3; the shared migratory, wide and zipf regions follow.
+const (
+	slotHot = iota
+	slotWarm
+	slotStream
+	slotPair
+	slotsPerCPU
+)
+
+// sharedSlot returns the slot of shared region k (0 = migratory, 1 =
+// wide, 2 = zipf) on an nCPU machine.
+func sharedSlot(cpus, k int) int { return cpus*slotsPerCPU + k }
+
+// regionBase returns the virtual base address of region slot i.
+func regionBase(i int) uint64 { return regionGap + uint64(i)*regionStride }
+
+// Stream is a generated reference stream. It serves references one at
+// a time as a trace.Source, or a batch at a time through Fill.
+type Stream interface {
+	trace.Source
+	// Fill generates len(dst) references in the order System.Run
+	// steps them: round-robin, one reference per CPU per turn, starting
+	// at CPU 0. Every batch but a run's last must therefore hold whole
+	// turns (a multiple of CPUs() references), as Run's chunks do.
+	Fill(dst []trace.Rec)
+}
 
 // Source builds the deterministic reference generator for an nCPU run.
 // Each CPU's stream is infinite; wrap it with trace.NewLimit or use the
 // simulator's maxRefs to bound a run. A phased spec returns the
 // phase-splicing source (see phased.go).
-func (sp Spec) Source(cpus int) trace.Source {
+func (sp Spec) Source(cpus int) Stream {
 	if err := sp.Validate(); err != nil {
 		panic(err)
 	}
 	if len(sp.Phases) > 0 {
 		return sp.phasedSource(cpus)
 	}
-	return sp.newGenerator(cpus, newPageTable())
+	return sp.newGenerator(cpus, sp.newPageTable(cpus))
 }
 
 // newGenerator builds one mixture generator over the given (possibly
 // shared) page table. The caller has validated the spec.
 func (sp Spec) newGenerator(cpus int, pt *pageTable) *generator {
 	g := &generator{spec: sp, cpus: cpus}
-	g.rng = make([]*rand.Rand, cpus)
+	g.rng = make([]rng, cpus)
 	g.stream = make([]uint64, cpus)
 	g.prod = make([]uint64, cpus)
 	g.burst = make([][3]burstState, cpus)
 	g.served = make([]uint64, cpus)
 	g.pt = pt
-	for i := 0; i < cpus; i++ {
-		g.rng[i] = rand.New(rand.NewSource(sp.Seed + int64(i)*7919))
+	for i := range g.rng {
+		g.rng[i].Seed(sp.Seed + int64(i)*7919)
 	}
-	// Region layout: per-CPU tiers, per-CPU pair buffers, then the shared
-	// regions, spaced far apart. Each region is additionally offset by a
-	// distinct page-colored skew so regions do not all collide in the same
-	// L1/L2 sets (a real allocator spreads them too).
-	idx := 0
-	nextBase := func() uint64 {
-		base := uint64(idx+1)*regionGap + uint64(idx*4813)*64
-		idx++
-		return base
+	// The fraction cascade of next, summed once in the same order.
+	for i, f := range []float64{sp.Hot.Frac, sp.Warm.Frac, sp.Stream.Frac, sp.Pair.Frac, sp.Mig.Frac, sp.Zipf.Frac} {
+		g.cum[i] = f
+		if i > 0 {
+			g.cum[i] = g.cum[i-1] + f
+		}
 	}
 	g.hotBase = make([]uint64, cpus)
 	g.warmBase = make([]uint64, cpus)
 	g.streamBase = make([]uint64, cpus)
 	g.pairBase = make([]uint64, cpus)
 	for i := 0; i < cpus; i++ {
-		g.hotBase[i] = nextBase()
-		g.warmBase[i] = nextBase()
-		g.streamBase[i] = nextBase()
-		g.pairBase[i] = nextBase()
+		g.hotBase[i] = regionBase(i*slotsPerCPU + slotHot)
+		g.warmBase[i] = regionBase(i*slotsPerCPU + slotWarm)
+		g.streamBase[i] = regionBase(i*slotsPerCPU + slotStream)
+		g.pairBase[i] = regionBase(i*slotsPerCPU + slotPair)
 	}
-	g.migBase = nextBase()
-	g.wideBase = nextBase()
-	g.zipfBase = nextBase()
+	g.migBase = regionBase(sharedSlot(cpus, 0))
+	g.wideBase = regionBase(sharedSlot(cpus, 1))
+	g.zipfBase = regionBase(sharedSlot(cpus, 2))
 	if sp.Zipf.Frac > 0 {
+		// Each CPU's zipf draws come from that CPU's stream.
 		g.zipf = make([]*rand.Zipf, cpus)
 		blocks := sp.Zipf.Bytes / migRecordBytes
-		for i := 0; i < cpus; i++ {
-			g.zipf[i] = rand.NewZipf(g.rng[i], sp.Zipf.S, 1, blocks-1)
+		for i := range g.zipf {
+			g.zipf[i] = rand.NewZipf(rand.New(&g.rng[i]), sp.Zipf.S, 1, blocks-1)
 		}
 	}
 	return g
@@ -260,7 +304,8 @@ func (sp Spec) newGenerator(cpus int, pt *pageTable) *generator {
 type generator struct {
 	spec Spec
 	cpus int
-	rng  []*rand.Rand
+	rng  []rng      // per-CPU source, seeded like rand.NewSource
+	cum  [6]float64 // cumulative fractions: hot, warm, stream, pair, mig, zipf
 
 	hotBase, warmBase, streamBase, pairBase []uint64
 	migBase, wideBase, zipfBase             uint64
@@ -302,27 +347,84 @@ const pageColors = 16
 // share it, so a virtual page touched during warmup keeps its frame in
 // the steady phase — later phases genuinely rewalk warm data instead of
 // aliasing fresh frames over it.
+//
+// The table is dense: one frame slot per virtual page of each region. A
+// reference's region follows from its address (regionBase), so a
+// translation is two slice indexes. A region's slots grow, doubling, up
+// to the highest page touched, and never past the region's size in the
+// spec's footprint (for a phased scenario, the union over its phases):
+// a short run that touches a few pages of a large region pays for few
+// slots.
 type pageTable struct {
-	table    map[uint64]uint64
+	regions  []ptRegion // by region slot
 	perColor [pageColors]uint64
 }
 
-func newPageTable() *pageTable {
-	return &pageTable{table: make(map[uint64]uint64)}
+// ptRegion is one region's slice of the page table.
+type ptRegion struct {
+	first  uint64   // the region's first virtual page
+	pages  uint64   // the region's size in pages: the bound on len(frames)
+	frames []uint32 // per page: assigned frame + 1, or 0 if untouched
+}
+
+// newPageTable sizes the page table of an nCPU run of sp: its region
+// footprint, plus any wide region without references, which the
+// fraction cascade's rounding slop can still reach (see next).
+func (sp Spec) newPageTable(cpus int) *pageTable {
+	r := sp.footprint()
+	r.wide = max(r.wide, sp.Wide.Bytes)
+	for _, ph := range sp.Phases {
+		r.wide = max(r.wide, ph.Spec.Wide.Bytes)
+	}
+	pt := &pageTable{regions: make([]ptRegion, sharedSlot(cpus, 3))}
+	size := func(slot int, bytes uint64) {
+		if bytes == 0 {
+			return
+		}
+		// A burst may read a few bytes past a region whose size is not
+		// a multiple of 32, but only within the 32-byte line it drew,
+		// and bases are line-aligned: no reference leaves the pages of
+		// [base, base+bytes).
+		base := regionBase(slot)
+		first := base >> pageBits
+		last := (base + bytes - 1) >> pageBits
+		pt.regions[slot] = ptRegion{first: first, pages: last - first + 1}
+	}
+	for i := 0; i < cpus; i++ {
+		size(i*slotsPerCPU+slotHot, r.hot)
+		size(i*slotsPerCPU+slotWarm, r.warm)
+		size(i*slotsPerCPU+slotStream, r.stream)
+		size(i*slotsPerCPU+slotPair, r.pair)
+	}
+	size(sharedSlot(cpus, 0), r.mig)
+	size(sharedSlot(cpus, 1), r.wide)
+	size(sharedSlot(cpus, 2), r.zipf)
+	return pt
 }
 
 // translate maps a virtual address to its physical address, assigning a
 // color-preserving frame on first touch.
 func (pt *pageTable) translate(va uint64) uint64 {
+	r := &pt.regions[(va-regionGap)/regionStride]
 	page := va >> pageBits
-	frame, ok := pt.table[page]
-	if !ok {
-		color := page % pageColors
-		frame = pt.perColor[color]*pageColors + color
-		pt.perColor[color]++
-		pt.table[page] = frame
+	i := page - r.first
+	if i >= uint64(len(r.frames)) {
+		r.grow(i)
 	}
-	return frame<<pageBits | va&((1<<pageBits)-1)
+	slot := &r.frames[i]
+	if *slot == 0 {
+		color := page % pageColors
+		*slot = uint32(pt.perColor[color]*pageColors+color) + 1
+		pt.perColor[color]++
+	}
+	return uint64(*slot-1)<<pageBits | va&((1<<pageBits)-1)
+}
+
+// grow extends the region's slots past page index i.
+func (r *ptRegion) grow(i uint64) {
+	frames := make([]uint32, min(max(2*uint64(len(r.frames)), i+1, 64), r.pages))
+	copy(frames, r.frames)
+	r.frames = frames
 }
 
 // burstState tracks record-reuse bursts within one random tier.
@@ -343,10 +445,21 @@ func (g *generator) Next(cpu int) (trace.Ref, bool) {
 	return ref, ok
 }
 
+// Fill implements Stream.
+func (g *generator) Fill(dst []trace.Rec) {
+	cpu := 0
+	for i := range dst {
+		ref, _ := g.Next(cpu)
+		dst[i] = trace.Rec{Addr: ref.Addr, CPU: int32(cpu), Op: ref.Op}
+		if cpu++; cpu == g.cpus {
+			cpu = 0
+		}
+	}
+}
+
 func (g *generator) next(cpu int) (trace.Ref, bool) {
 	sp := &g.spec
-	r := g.rng[cpu]
-	x := r.Float64()
+	x := g.rng[cpu].Float64()
 
 	// Process migration: after each period the process running on this
 	// CPU works on the data set a neighbouring CPU populated. The walk
@@ -358,22 +471,22 @@ func (g *generator) next(cpu int) (trace.Ref, bool) {
 	}
 
 	switch {
-	case x < sp.Hot.Frac:
-		return g.privateRef(cpu, sp.Hot, g.hotBase[ds], nil, &g.burst[ds][0]), true
+	case x < g.cum[0]:
+		return g.privateRef(cpu, &sp.Hot, g.hotBase[ds], nil, &g.burst[ds][0]), true
 
-	case x < sp.Hot.Frac+sp.Warm.Frac:
-		return g.privateRef(cpu, sp.Warm, g.warmBase[ds], nil, &g.burst[ds][1]), true
+	case x < g.cum[1]:
+		return g.privateRef(cpu, &sp.Warm, g.warmBase[ds], nil, &g.burst[ds][1]), true
 
-	case x < sp.Hot.Frac+sp.Warm.Frac+sp.Stream.Frac:
-		return g.privateRef(cpu, sp.Stream, g.streamBase[ds], &g.stream[ds], &g.burst[ds][2]), true
+	case x < g.cum[2]:
+		return g.privateRef(cpu, &sp.Stream, g.streamBase[ds], &g.stream[ds], &g.burst[ds][2]), true
 
-	case x < sp.Hot.Frac+sp.Warm.Frac+sp.Stream.Frac+sp.Pair.Frac:
+	case x < g.cum[3]:
 		return g.pairRef(cpu), true
 
-	case x < sp.Hot.Frac+sp.Warm.Frac+sp.Stream.Frac+sp.Pair.Frac+sp.Mig.Frac:
+	case x < g.cum[4]:
 		return g.migRef(cpu), true
 
-	case x < sp.Hot.Frac+sp.Warm.Frac+sp.Stream.Frac+sp.Pair.Frac+sp.Mig.Frac+sp.Zipf.Frac:
+	case x < g.cum[5]:
 		return g.zipfRef(cpu), true
 
 	default:
@@ -387,8 +500,8 @@ func (g *generator) next(cpu int) (trace.Ref, bool) {
 // privateRef generates a reference into a per-CPU tier. Sequential tiers
 // use the walk pointer; random tiers draw uniformly, optionally reusing
 // the drawn line for Burst consecutive references (record locality).
-func (g *generator) privateRef(cpu int, reg Region, regionBase uint64, walk *uint64, b *burstState) trace.Ref {
-	r := g.rng[cpu]
+func (g *generator) privateRef(cpu int, reg *Region, base uint64, walk *uint64, b *burstState) trace.Ref {
+	r := &g.rng[cpu]
 	var off uint64
 	switch {
 	case reg.Stride > 0 && walk != nil:
@@ -411,7 +524,7 @@ func (g *generator) privateRef(cpu int, reg Region, regionBase uint64, walk *uin
 	if r.Float64() < g.spec.WriteFrac {
 		op = trace.Write
 	}
-	return trace.Ref{Op: op, Addr: regionBase + off}
+	return trace.Ref{Op: op, Addr: base + off}
 }
 
 // pairRef implements producer/consumer sharing: cpu produces into its own
@@ -419,7 +532,7 @@ func (g *generator) privateRef(cpu int, reg Region, regionBase uint64, walk *uin
 // producer's write front.
 func (g *generator) pairRef(cpu int) trace.Ref {
 	sp := &g.spec
-	r := g.rng[cpu]
+	r := &g.rng[cpu]
 	stride := uint64(sp.Pair.Stride)
 	if stride == 0 {
 		stride = 8
@@ -449,7 +562,7 @@ func (g *generator) pairRef(cpu int) trace.Ref {
 // critical sections), so ownership hops between CPUs.
 func (g *generator) migRef(cpu int) trace.Ref {
 	sp := &g.spec
-	r := g.rng[cpu]
+	r := &g.rng[cpu]
 	g.migN++
 	rec := (g.migN / uint64(sp.Mig.Hold)) % uint64(sp.Mig.Records)
 	addr := g.migBase + rec*migRecordBytes + uint64(r.Intn(4))*8
@@ -464,11 +577,11 @@ func (g *generator) migRef(cpu int) trace.Ref {
 // every CPU), rare writes (every copy invalidated).
 func (g *generator) wideRef(cpu int) trace.Ref {
 	sp := &g.spec
-	r := g.rng[cpu]
+	r := &g.rng[cpu]
 	if sp.Wide.Bytes == 0 {
 		// Rounding slop reached the default arm of a spec without wide
 		// sharing: fold it into the hot tier.
-		return g.privateRef(cpu, sp.Hot, g.hotBase[cpu], nil, &g.burst[cpu][0])
+		return g.privateRef(cpu, &sp.Hot, g.hotBase[cpu], nil, &g.burst[cpu][0])
 	}
 	off := alignDown(uint64(r.Int63n(int64(sp.Wide.Bytes))), 8)
 	op := trace.Read
@@ -482,7 +595,7 @@ func (g *generator) wideRef(cpu int) trace.Ref {
 // a zipf law, so every CPU hammers the same few hot blocks (coherence
 // contention) while the tail provides cold sharing misses.
 func (g *generator) zipfRef(cpu int) trace.Ref {
-	r := g.rng[cpu]
+	r := &g.rng[cpu]
 	block := g.zipf[cpu].Uint64()
 	off := block*migRecordBytes + uint64(r.Intn(8))*8
 	op := trace.Read

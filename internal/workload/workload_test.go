@@ -173,7 +173,17 @@ func TestPagingIsCompactAndDeterministic(t *testing.T) {
 			maxA = ra.Addr
 		}
 	}
-	touched := uint64(len(a.pt.table))
+	// Pages touched, and each touched page's frame.
+	var pages, frames []uint64
+	for _, r := range a.pt.regions {
+		for i, slot := range r.frames {
+			if slot != 0 {
+				pages = append(pages, r.first+uint64(i))
+				frames = append(frames, uint64(slot-1))
+			}
+		}
+	}
+	touched := uint64(len(pages))
 	var handed uint64
 	for _, n := range a.pt.perColor {
 		handed += n
@@ -193,8 +203,8 @@ func TestPagingIsCompactAndDeterministic(t *testing.T) {
 		t.Errorf("physical address %#x beyond the colored footprint", maxA)
 	}
 	// Frames preserve the virtual color (L1 page-slot behaviour).
-	for page, frame := range a.pt.table {
-		if page%pageColors != frame%pageColors {
+	for i, page := range pages {
+		if frame := frames[i]; page%pageColors != frame%pageColors {
 			t.Fatalf("page %#x color %d mapped to frame %#x color %d",
 				page, page%pageColors, frame, frame%pageColors)
 		}
