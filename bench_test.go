@@ -374,8 +374,13 @@ func BenchmarkSweep(b *testing.B) {
 // spec pays 16 full passes, and the single sub is the floor — one
 // simulation of the same workload with one filter attached, i.e. the
 // cost a per-cell sweep pays for every one of its 16 cells.
-// PERFORMANCE.md tracks fused ≤ 2× single. The cache is disabled so
-// every iteration really simulates. Compare with:
+// PERFORMANCE.md tracks fused ≤ 2× single. The machines sub is the
+// L2-sensitivity and NSB study's shape: Lu on the six machines of
+// jettybench's l2-sweep-durable workload (512K, 1M, 2M, 4M, 1M 8-way,
+// 1M NSB) × three filters in "each" mode, where machine-axis fusion
+// packs the six per-machine units into passes that each generate the
+// stream once; it reports the fused passes it scheduled. The cache is
+// disabled so every iteration really simulates. Compare with:
 //
 //	go test -bench 'BenchmarkSweepFused' -benchtime 2x .
 func BenchmarkSweepFused(b *testing.B) {
@@ -412,6 +417,35 @@ func BenchmarkSweepFused(b *testing.B) {
 			cells = len(runSweep(b, forced).Cells)
 		}
 		b.ReportMetric(float64(cells), "cells")
+	})
+	b.Run("machines", func(b *testing.B) {
+		l2 := sweep.Spec{
+			Name:      "bench-fused-machines",
+			Workloads: []string{"Lu"},
+			Machines: []sweep.Machine{
+				{L2Bytes: 512 << 10}, {L2Bytes: 1 << 20}, {L2Bytes: 2 << 20},
+				{L2Bytes: 4 << 20}, {L2Assoc: 8}, {NSB: true},
+			},
+			Filters:    []string{"EJ-32x4", "IJ-10x4x7", "HJ(IJ-10x4x7,EJ-32x4)"},
+			FilterMode: sweep.ModeEach,
+			Scale:      spec.Scale,
+		}
+		var cells, passes int
+		for i := 0; i < b.N; i++ {
+			eng := engine.New(engine.Options{CacheEntries: -1})
+			s, err := sweep.Submit(sim.NewRunner(eng), l2, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := s.Wait(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng.Close()
+			cells, passes = len(res.Cells), s.FusedGroups()
+		}
+		b.ReportMetric(float64(cells), "cells")
+		b.ReportMetric(float64(passes), "passes")
 	})
 	b.Run("single", func(b *testing.B) {
 		sp, err := workload.ByName("Lu")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -266,7 +267,20 @@ func TestSSESurvivesIdleTimeout(t *testing.T) {
 		t.Fatalf("submit status %d", resp.StatusCode)
 	}
 
-	live, err := client.Get(base + "/v1/experiments/" + st.ID + "/live")
+	// Read the stream with no whole-request timeout: http.Client.Timeout
+	// also bounds reading the body, and under the race detector the run
+	// outlives any fixed one. The test's own deadline bounds it instead.
+	ctx := context.Background()
+	if d, ok := t.Deadline(); ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, d)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/experiments/"+st.ID+"/live", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := (&http.Client{}).Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

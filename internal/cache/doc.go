@@ -10,8 +10,8 @@
 // Both caches are laid out for the simulator's per-access hot path (see
 // PERFORMANCE.md at the repository root). The L2 keeps flat parallel
 // arrays — compact uint32 tags with liveness folded into an all-ones
-// sentinel, one packed state+hint byte per coherence unit, per-frame LRU
-// timestamps — and exposes a Frame handle so one associative search per
+// sentinel, one packed state+hint byte per coherence unit, per-frame
+// 32-bit LRU timestamps — and exposes a Frame handle so one associative search per
 // access serves every subsequent touch, state access and hint update.
 // The L1 packs each line's tag, flags and covering L2 frame into a
 // single uint64 word; caching the frame is sound because inclusion pins

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"jetty/internal/addr"
 )
@@ -121,8 +122,12 @@ type L2 struct {
 	// (stamp = clock++) instead of a rank-shuffling loop over the set,
 	// and the replacement scan takes the minimum stamp. Stamps within a
 	// set are always distinct, so the victim matches rank-based LRU.
-	stamp []uint64
-	clock uint64
+	// Stamps are 32 bits (a frame costs 10 bytes of a subblocked L2, not
+	// 14): before the clock would wrap, renumber replaces every set's
+	// stamps by their ranks, which keeps each set's order and therefore
+	// every later victim.
+	stamp []uint32
+	clock uint32
 
 	ev Eviction // reusable EnsureBlock result; see Eviction
 }
@@ -145,7 +150,7 @@ func NewL2(cfg L2Config) *L2 {
 		upbShift:   uint(addr.Log2(uint64(upb))),
 		unitMask:   uint64(upb) - 1,
 		tags:       make([]uint32, frames),
-		stamp:      make([]uint64, frames),
+		stamp:      make([]uint32, frames),
 		units:      make([]uint8, frames*upb),
 		ev:         Eviction{Units: make([]EvictedUnit, 0, upb)},
 	}
@@ -153,9 +158,9 @@ func NewL2(cfg L2Config) *L2 {
 	for i := range l.stamp {
 		l.tags[i] = emptyTag
 		// Distinct initial recency within each set: way 0 most recent.
-		l.stamp[i] = uint64(wayMask - i&wayMask)
+		l.stamp[i] = uint32(wayMask - i&wayMask)
 	}
-	l.clock = uint64(cfg.Assoc)
+	l.clock = uint32(cfg.Assoc)
 	return l
 }
 
@@ -209,8 +214,34 @@ func (l *L2) SetInL1At(f Frame, unit uint64, v bool) {
 
 // TouchAt promotes the frame to most-recently-used in its set.
 func (l *L2) TouchAt(f Frame) {
+	if l.clock == math.MaxUint32 {
+		l.renumber()
+	}
 	l.stamp[f] = l.clock
 	l.clock++
+}
+
+// renumber replaces each set's stamps by their ranks 0..assoc-1 and
+// restarts the clock at assoc. Every stamp is below the clock and the
+// stamps of a set are distinct, so each set keeps its recency order.
+// It runs once per 2^32 touches; keeping it out of line keeps TouchAt
+// inlinable.
+//
+//go:noinline
+func (l *L2) renumber() {
+	for base := 0; base < len(l.stamp); base += l.assoc {
+		set := l.stamp[base : base+l.assoc]
+		var ranks [64]uint32 // Validate caps assoc at 64
+		for w, sw := range set {
+			for _, so := range set {
+				if so < sw {
+					ranks[w]++
+				}
+			}
+		}
+		copy(set, ranks[:l.assoc])
+	}
+	l.clock = uint32(l.assoc)
 }
 
 // InvalidateAt invalidates a unit of a resident frame (snoop-induced).
@@ -250,7 +281,7 @@ func (l *L2) EnsureFrame(block uint64) (ev *Eviction, allocated bool, f Frame) {
 	base := set << l.assocShift
 
 	victim := -1
-	oldest := ^uint64(0)
+	oldest := ^uint32(0)
 	for w := 0; w < l.assoc; w++ {
 		if l.tags[base+w] == emptyTag {
 			victim = w

@@ -292,6 +292,53 @@ func TestClusterRerunHitsBothCacheTiers(t *testing.T) {
 	}
 }
 
+// TestClusterDispatchesOnlyUnresolvedCells: when the memo resolves part
+// of a unit, the coordinator dispatches only the unit's other cells.
+// Priming the memo with filters {A, B} and then sweeping {A, B, C, D} on
+// one machine must dispatch exactly C and D, record no redundant
+// completion, and fold the result a cold coordinator folds.
+func TestClusterDispatchesOnlyUnresolvedCells(t *testing.T) {
+	_, clients := startWorkers(t, 1, service.Options{Workers: 2})
+	co := newCoordinator(t, clients, nil)
+	spec := sweep.Spec{
+		Name:       "partial-unit",
+		Workloads:  []string{"Lu"},
+		Filters:    []string{"EJ-32x4", "EJ-16x2"},
+		FilterMode: sweep.ModeEach,
+		Scale:      0.02,
+	}
+	s, err := co.Submit(spec, nil, "test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSweep(t, s)
+	primed := co.Stats()
+
+	spec.Filters = append(spec.Filters, "IJ-8x4x7", "EJ-64x4")
+	s, err = co.Submit(spec, nil, "test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitSweep(t, s)
+	st := co.Stats()
+	if d := st.CellsDispatched - primed.CellsDispatched; d != 2 {
+		t.Errorf("dispatched %d cells, want the 2 the memo did not resolve", d)
+	}
+	if st.RedundantCompletions != 0 {
+		t.Errorf("%d redundant completions, want 0", st.RedundantCompletions)
+	}
+
+	_, coldClients := startWorkers(t, 1, service.Options{Workers: 2})
+	cold := newCoordinator(t, coldClients, nil)
+	s, err = cold.Submit(spec, nil, "test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := waitSweep(t, s); !reflect.DeepEqual(got, want) {
+		t.Error("partly memo-resolved sweep diverges from a cold coordinator's")
+	}
+}
+
 // TestClusterReuploadsTracesAfterRestart: a worker restart loses the
 // in-memory trace store; the coordinator must notice the revival and
 // push referenced traces again before dispatching to it.

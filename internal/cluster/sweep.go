@@ -21,7 +21,10 @@ const DispositionMemoHit = "memo_hit"
 // attempt is one dispatch of one unit to one worker.
 type attempt struct {
 	unit int
-	w    *worker
+	// indices are the unit's cells still unresolved at dispatch time:
+	// the ones the attempt sends.
+	indices []int
+	w       *worker
 	// hedged is set (under the sweep's mutex) when the unit was already
 	// requeued because the worker was declared dead while this attempt
 	// was in flight. The attempt keeps running — if the lost twin still
@@ -345,16 +348,30 @@ func (s *Sweep) run() {
 	}
 }
 
-// startAttempt launches one dispatch goroutine.
+// startAttempt launches one dispatch goroutine carrying the unit's
+// cells that are not yet resolved; cells the memo (or an earlier
+// delivery) already resolved are neither sent nor counted.
 func (s *Sweep) startAttempt(u int, w *worker) {
 	a := &attempt{unit: u, w: w}
 	s.mu.Lock()
+	for _, p := range s.units[u] {
+		if !s.have[p] {
+			a.indices = append(a.indices, p)
+		}
+	}
+	if len(a.indices) == 0 {
+		// A delivery resolved the rest since the scheduler picked the
+		// unit: nothing to send, so hand the worker slot straight back.
+		s.mu.Unlock()
+		s.co.release(w, true, 0)
+		return
+	}
 	s.unitAttempts[u]++
 	n := s.unitAttempts[u]
 	s.live[a] = struct{}{}
 	s.mu.Unlock()
 	s.co.mu.Lock()
-	s.co.counters.CellsDispatched += uint64(len(s.units[u]))
+	s.co.counters.CellsDispatched += uint64(len(a.indices))
 	s.co.mu.Unlock()
 	go s.runAttempt(a, n)
 }
@@ -368,7 +385,7 @@ func (s *Sweep) runAttempt(a *attempt, attemptNo int) {
 	ctx, cancel := context.WithTimeout(s.co.ctx, s.co.opts.RequestTimeout)
 	defer cancel()
 
-	indices := s.units[a.unit]
+	indices := a.indices
 	start := time.Now()
 	err := s.co.ensureTraces(ctx, a.w, s.tenant, s.traces)
 	var resp CellsResponse

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"reflect"
+	"slices"
 
 	"jetty/internal/energy"
 	"jetty/internal/engine"
@@ -32,13 +34,24 @@ import (
 //   - Timeline windows carry machine Counts (filter-independent, and
 //     Window.Energy derives from Counts alone) plus per-filter columns
 //     sliced the same way.
+//
+// A group may also span machines that share the reference stream (same
+// workload spec or trace, same CPU count; the sweep planner packs them
+// under a memory bound). The pass then builds one wide machine per
+// machine, generates or decodes each batch once and steps it through
+// every machine in turn. Machines share nothing but the read-only batch,
+// so each one's stepping — and everything derived from it — is exactly
+// that of a run of its own.
 
 // FusedMember is one member of a fused run: the content address its
 // result is cached under (the member cell's existing per-cell key, so
-// fused and per-cell runs share cache entries) and its filter bank.
+// fused and per-cell runs share cache entries), the filterless machine
+// it runs on, and its filter bank. Members of one group share a
+// reference stream; members on equal machines share one wide machine.
 type FusedMember struct {
-	Key  string
-	Bank []jetty.Config
+	Key     string
+	Machine smp.Config
+	Bank    []jetty.Config
 }
 
 // fusedConfig widens base with every bank concatenated in order. base
@@ -101,7 +114,7 @@ func projectAll(full AppResult, banks [][]jetty.Config) []AppResult {
 // base.WithFilters(bank...). opt attaches interval sampling (each
 // member's result then carries its sliced Timeline).
 func RunAppFusedCtx(ctx context.Context, sp workload.Spec, base smp.Config, banks [][]jetty.Config, opt SampleOptions, report func(done uint64)) ([]AppResult, error) {
-	full, err := runApp(ctx, sp, fusedConfig(base, banks), nil, opt, report)
+	full, err := only(runApp(ctx, sp, []smp.Config{fusedConfig(base, banks)}, nil, opt, report))
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +123,7 @@ func RunAppFusedCtx(ctx context.Context, sp workload.Spec, base smp.Config, bank
 
 // RunTraceFusedCtx is RunAppFusedCtx for a stored-trace replay.
 func RunTraceFusedCtx(ctx context.Context, in TraceInput, base smp.Config, banks [][]jetty.Config, opt SampleOptions, report func(done uint64)) ([]AppResult, error) {
-	full, err := runTrace(ctx, in, fusedConfig(base, banks), opt, report)
+	full, err := only(runTrace(ctx, in, []smp.Config{fusedConfig(base, banks)}, opt, report))
 	if err != nil {
 		return nil, err
 	}
@@ -118,10 +131,12 @@ func RunTraceFusedCtx(ctx context.Context, in TraceInput, base smp.Config, banks
 }
 
 // fusedGroup assembles the engine.GroupTask shared by the app and
-// trace constructors: per-member keys/totals, and a Run that attaches
+// trace constructors: per-member keys/totals, and a Run that builds one
+// wide machine per distinct machine among the live members, attaching
 // only the live members' banks (canceled and cache-satisfied members
-// cost nothing) before demuxing.
-func fusedGroup(members []FusedMember, total uint64, run func(ctx context.Context, banks [][]jetty.Config, report func(uint64)) ([]AppResult, error)) engine.GroupTask {
+// cost nothing, and a machine none of them needs is never built), steps
+// every wide machine over one pass of the stream, and demuxes.
+func fusedGroup(members []FusedMember, total uint64, run func(ctx context.Context, wide []smp.Config, report func(uint64)) ([]AppResult, error)) engine.GroupTask {
 	ms := make([]engine.GroupMember, len(members))
 	for i, m := range members {
 		ms[i] = engine.GroupMember{Key: m.Key, Total: total}
@@ -130,36 +145,59 @@ func fusedGroup(members []FusedMember, total uint64, run func(ctx context.Contex
 		Kind:    KindFused,
 		Members: ms,
 		Run: func(ctx context.Context, live []int, report func(uint64)) ([]any, error) {
-			banks := make([][]jetty.Config, len(live))
+			var machines []smp.Config
+			var banks [][][]jetty.Config
+			slot := make([]int, len(live)) // live member → machine index
 			for k, i := range live {
-				banks[k] = members[i].Bank
+				m := slices.IndexFunc(machines, func(c smp.Config) bool {
+					return reflect.DeepEqual(c, members[i].Machine)
+				})
+				if m < 0 {
+					m = len(machines)
+					machines = append(machines, members[i].Machine)
+					banks = append(banks, nil)
+				}
+				slot[k] = m
+				banks[m] = append(banks[m], members[i].Bank)
 			}
-			results, err := run(ctx, banks, report)
+			wide := make([]smp.Config, len(machines))
+			for m := range machines {
+				wide[m] = fusedConfig(machines[m], banks[m])
+			}
+			fulls, err := run(ctx, wide, report)
 			if err != nil {
 				return nil, err
 			}
-			out := make([]any, len(results))
-			for k, r := range results {
-				out[k] = r
+			projected := make([][]AppResult, len(machines))
+			for m, full := range fulls {
+				projected[m] = projectAll(full, banks[m])
+			}
+			out := make([]any, len(live))
+			next := make([]int, len(machines))
+			for k, m := range slot {
+				out[k] = projected[m][next[m]]
+				next[m]++
 			}
 			return out, nil
 		},
 	}
 }
 
-// FusedAppGroup wraps one fused generator run as an engine group task:
-// one queued simulation, one engine-cache fill per member under that
-// member's own key. The caller sets Origin on the returned task if it
-// has one (the sweep scheduler stamps the submitting request's ID).
-func FusedAppGroup(sp workload.Spec, base smp.Config, members []FusedMember, opt SampleOptions) engine.GroupTask {
-	return fusedGroup(members, sp.Accesses, func(ctx context.Context, banks [][]jetty.Config, report func(uint64)) ([]AppResult, error) {
-		return RunAppFusedCtx(ctx, sp, base, banks, opt, report)
+// FusedAppGroup wraps one fused generator pass as an engine group task:
+// one queued simulation that generates sp's stream once and steps every
+// member's machine over it, one engine-cache fill per member under that
+// member's own key. Every member's machine must have the same CPU
+// count. The caller sets Origin on the returned task if it has one (the
+// sweep scheduler stamps the submitting request's ID).
+func FusedAppGroup(sp workload.Spec, members []FusedMember, opt SampleOptions) engine.GroupTask {
+	return fusedGroup(members, sp.Accesses, func(ctx context.Context, wide []smp.Config, report func(uint64)) ([]AppResult, error) {
+		return runApp(ctx, sp, wide, nil, opt, report)
 	})
 }
 
 // FusedTraceGroup is FusedAppGroup for a stored-trace replay.
-func FusedTraceGroup(in TraceInput, base smp.Config, members []FusedMember, opt SampleOptions) engine.GroupTask {
-	return fusedGroup(members, in.Records, func(ctx context.Context, banks [][]jetty.Config, report func(uint64)) ([]AppResult, error) {
-		return RunTraceFusedCtx(ctx, in, base, banks, opt, report)
+func FusedTraceGroup(in TraceInput, members []FusedMember, opt SampleOptions) engine.GroupTask {
+	return fusedGroup(members, in.Records, func(ctx context.Context, wide []smp.Config, report func(uint64)) ([]AppResult, error) {
+		return runTrace(ctx, in, wide, opt, report)
 	})
 }

@@ -43,18 +43,19 @@ func Fingerprint(sp workload.Spec, cfg smp.Config) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// runGenerated drives sys over the generated stream src for accesses
-// references in batches: each batch is filled into buf in System.Run's
-// round-robin order (whole turns, so every batch starts at CPU 0 as
-// each of Run's chunks does) and stepped with StepBatch, the loop
-// stored traces replay through. The machine therefore sees exactly the
-// reference sequence RunApp's System.Run gives it. If tw is non-nil,
-// every batch is also recorded into it in stepped order; a recording
-// error does not stop the run but is returned after it. report (if
-// non-nil) receives the references completed after each batch, and
-// ctx is checked between batches.
-func runGenerated(ctx context.Context, sys *smp.System, src workload.Stream, accesses uint64, buf []trace.Rec, tw *trace.Writer, report func(done uint64)) error {
-	ncpu := min(src.CPUs(), sys.Config().CPUs)
+// runGenerated drives every machine in systems over the generated
+// stream src for accesses references in batches: each batch is filled
+// into buf once, in System.Run's round-robin order (whole turns, so
+// every batch starts at CPU 0 as each of Run's chunks does), and
+// stepped through each machine in turn with StepBatch, the loop stored
+// traces replay through. Every machine therefore sees exactly the
+// reference sequence RunApp's System.Run gives it; the machines must
+// share src's CPU count. If tw is non-nil, every batch is also recorded
+// into it in stepped order; a recording error does not stop the run but
+// is returned after it. report (if non-nil) receives the references
+// completed after each batch, and ctx is checked between batches.
+func runGenerated(ctx context.Context, systems []*smp.System, src workload.Stream, accesses uint64, buf []trace.Rec, tw *trace.Writer, report func(done uint64)) error {
+	ncpu := src.CPUs()
 	batch := uint64(len(buf) - len(buf)%ncpu)
 	var done uint64
 	var werr error
@@ -67,7 +68,9 @@ func runGenerated(ctx context.Context, sys *smp.System, src workload.Stream, acc
 		for i := 0; tw != nil && werr == nil && i < len(recs); i++ {
 			werr = tw.Write(int(recs[i].CPU), trace.Ref{Op: recs[i].Op, Addr: recs[i].Addr})
 		}
-		sys.StepBatch(recs)
+		for _, sys := range systems {
+			sys.StepBatch(recs)
+		}
 		done += uint64(len(recs))
 		if report != nil {
 			report(done)
@@ -85,7 +88,7 @@ func runGenerated(ctx context.Context, sys *smp.System, src workload.Stream, acc
 // returning ctx.Err() promptly after cancellation. Results are
 // bit-identical to RunApp.
 func RunAppCtx(ctx context.Context, sp workload.Spec, cfg smp.Config, report func(done uint64)) (AppResult, error) {
-	return runApp(ctx, sp, cfg, nil, SampleOptions{}, report)
+	return only(runApp(ctx, sp, []smp.Config{cfg}, nil, SampleOptions{}, report))
 }
 
 // RunAppCapturedCtx is RunAppCtx with the capture hook attached: every
@@ -94,7 +97,7 @@ func RunAppCtx(ctx context.Context, sp workload.Spec, cfg smp.Config, report fun
 // (RunTraceCtx) reproduces this run's statistics identically. The
 // caller owns tw and must Close it after the run to finish the file.
 func RunAppCapturedCtx(ctx context.Context, sp workload.Spec, cfg smp.Config, tw *trace.Writer, report func(done uint64)) (AppResult, error) {
-	return runApp(ctx, sp, cfg, tw, SampleOptions{}, report)
+	return only(runApp(ctx, sp, []smp.Config{cfg}, tw, SampleOptions{}, report))
 }
 
 // SampleOptions attaches interval sampling to a run.
@@ -134,30 +137,71 @@ func (o SampleOptions) newSampler(cfg smp.Config, total uint64) (*metrics.Sample
 // metrics. Sampling is observation only — every aggregate is
 // bit-identical to the unsampled run (TestSampledRunMatchesUnsampled).
 func RunAppSampledCtx(ctx context.Context, sp workload.Spec, cfg smp.Config, opt SampleOptions, report func(done uint64)) (AppResult, error) {
-	return runApp(ctx, sp, cfg, nil, opt, report)
+	return only(runApp(ctx, sp, []smp.Config{cfg}, nil, opt, report))
 }
 
-// runApp is the shared generator-driven path, optionally teeing the
-// reference stream into a trace writer and/or sampling a timeline.
-func runApp(ctx context.Context, sp workload.Spec, cfg smp.Config, tw *trace.Writer, opt SampleOptions, report func(done uint64)) (AppResult, error) {
+// runApp is the shared generator-driven path: it generates sp's stream
+// once and steps one machine per config over it (all of one CPU count),
+// optionally teeing the stream into a trace writer and/or sampling a
+// timeline per machine, and returns one result per config.
+func runApp(ctx context.Context, sp workload.Spec, cfgs []smp.Config, tw *trace.Writer, opt SampleOptions, report func(done uint64)) ([]AppResult, error) {
 	if err := sp.Validate(); err != nil {
-		return AppResult{}, err
+		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return AppResult{}, err
+	systems, err := newMachines(cfgs, sp.Accesses, opt)
+	if err != nil {
+		return nil, err
 	}
-	sys := smp.New(cfg)
-	if opt.enabled() {
-		sm, err := opt.newSampler(cfg, sp.Accesses)
-		if err != nil {
-			return AppResult{}, err
+	if err := runGenerated(ctx, systems, sp.Source(cfgs[0].CPUs), sp.Accesses, recBuf(ctx), tw, report); err != nil {
+		return nil, err
+	}
+	return finishAll(systems, sp, cfgs)
+}
+
+// newMachines validates cfgs and builds one machine per config, each
+// with its own sampler when opt enables sampling. The machines of one
+// pass step one stream, so they must agree on the CPU count.
+func newMachines(cfgs []smp.Config, total uint64, opt SampleOptions) ([]*smp.System, error) {
+	systems := make([]*smp.System, len(cfgs))
+	for i, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
 		}
-		sys.SetSampler(sm)
+		if cfg.CPUs != cfgs[0].CPUs {
+			return nil, fmt.Errorf("sim: one pass cannot step %d-cpu and %d-cpu machines", cfgs[0].CPUs, cfg.CPUs)
+		}
+		systems[i] = smp.New(cfg)
+		if opt.enabled() {
+			sm, err := opt.newSampler(cfg, total)
+			if err != nil {
+				return nil, err
+			}
+			systems[i].SetSampler(sm)
+		}
 	}
-	if err := runGenerated(ctx, sys, sp.Source(cfg.CPUs), sp.Accesses, recBuf(ctx), tw, report); err != nil {
+	return systems, nil
+}
+
+// finishAll runs finishRun, with both audits, on every machine of a
+// pass.
+func finishAll(systems []*smp.System, sp workload.Spec, cfgs []smp.Config) ([]AppResult, error) {
+	out := make([]AppResult, len(systems))
+	for i, sys := range systems {
+		res, err := finishRun(sys, sp, cfgs[i])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
+// only unwraps the result of a one-machine pass.
+func only(rs []AppResult, err error) (AppResult, error) {
+	if err != nil {
 		return AppResult{}, err
 	}
-	return finishRun(sys, sp, cfg)
+	return rs[0], nil
 }
 
 // Task wraps one app run as an engine task, content-addressed by

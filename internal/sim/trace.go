@@ -132,7 +132,7 @@ func recBuf(ctx context.Context) []trace.Rec {
 // Source-driven round-robin path does for a round-robin recording, so
 // the batching is invisible in the results.
 func RunTraceCtx(ctx context.Context, in TraceInput, cfg smp.Config, report func(done uint64)) (AppResult, error) {
-	return runTrace(ctx, in, cfg, SampleOptions{}, report)
+	return only(runTrace(ctx, in, []smp.Config{cfg}, SampleOptions{}, report))
 }
 
 // RunTraceSampledCtx is RunTraceCtx with an interval sampler attached:
@@ -140,36 +140,34 @@ func RunTraceCtx(ctx context.Context, in TraceInput, cfg smp.Config, report func
 // generator run (the trace fixes the stream, so the timeline is as
 // reproducible as the replay itself).
 func RunTraceSampledCtx(ctx context.Context, in TraceInput, cfg smp.Config, opt SampleOptions, report func(done uint64)) (AppResult, error) {
-	return runTrace(ctx, in, cfg, opt, report)
+	return only(runTrace(ctx, in, []smp.Config{cfg}, opt, report))
 }
 
-func runTrace(ctx context.Context, in TraceInput, cfg smp.Config, opt SampleOptions, report func(done uint64)) (AppResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return AppResult{}, err
+// runTrace decodes the trace once and steps one machine per config over
+// every batch (the trace-replay counterpart of runApp), returning one
+// result per config.
+func runTrace(ctx context.Context, in TraceInput, cfgs []smp.Config, opt SampleOptions, report func(done uint64)) ([]AppResult, error) {
+	systems, err := newMachines(cfgs, in.Records, opt)
+	if err != nil {
+		return nil, err
 	}
 	rd, err := trace.NewReader(bytes.NewReader(in.Data))
 	if err != nil {
-		return AppResult{}, err
+		return nil, err
 	}
-	if rd.CPUs() > cfg.CPUs {
-		return AppResult{}, fmt.Errorf("sim: trace has %d cpus but the machine only %d", rd.CPUs(), cfg.CPUs)
-	}
-	sys := smp.New(cfg)
-	if opt.enabled() {
-		sm, err := opt.newSampler(cfg, in.Records)
-		if err != nil {
-			return AppResult{}, err
-		}
-		sys.SetSampler(sm)
+	if rd.CPUs() > cfgs[0].CPUs {
+		return nil, fmt.Errorf("sim: trace has %d cpus but the machine only %d", rd.CPUs(), cfgs[0].CPUs)
 	}
 	buf := recBuf(ctx)
 	var done uint64
 	for {
 		if err := ctx.Err(); err != nil {
-			return AppResult{}, err
+			return nil, err
 		}
 		n, err := rd.ReadBatch(buf)
-		sys.StepBatch(buf[:n])
+		for _, sys := range systems {
+			sys.StepBatch(buf[:n])
+		}
 		done += uint64(n)
 		if report != nil && n > 0 {
 			report(done)
@@ -178,16 +176,16 @@ func runTrace(ctx context.Context, in TraceInput, cfg smp.Config, opt SampleOpti
 			break
 		}
 		if err != nil {
-			return AppResult{}, err
+			return nil, err
 		}
 	}
 	if err := rd.Err(); err != nil {
-		return AppResult{}, err
+		return nil, err
 	}
-	if got := sys.Refs(); got != in.Records {
-		return AppResult{}, fmt.Errorf("sim: replayed %d of the trace's %d records", got, in.Records)
+	if done != in.Records {
+		return nil, fmt.Errorf("sim: replayed %d of the trace's %d records", done, in.Records)
 	}
-	return finishRun(sys, in.pseudoSpec(), cfg)
+	return finishAll(systems, in.pseudoSpec(), cfgs)
 }
 
 // TraceTask wraps one replay as an engine task, content-addressed by

@@ -29,8 +29,12 @@
 // (plan.go) and submitted as a single engine group task that replays
 // the reference stream once with every member's bank attached as
 // concatenated observers (sim.FusedAppGroup / sim.FusedTraceGroup).
-// Each member's result is demuxed out of the wide pass and cached
-// under the member cell's own content address, so fused results are
+// Units on different machines of one stream (the L2-size, associativity
+// and non-subblocked studies) then pack into passes that generate or
+// decode the stream once and step every machine over each batch, under
+// the L2 capacity of the stream's largest machine (plan.go). Each
+// member's result is demuxed out of its wide machine and cached under
+// the member cell's own content address, so fused results are
 // bit-identical to per-cell runs (TestSweepFusedMatchesPerCell) and
 // fused and per-cell sweeps interoperate through the engine cache.
 // Spec.NoFuse forces the legacy per-cell scheduling.

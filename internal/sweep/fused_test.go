@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -111,6 +112,36 @@ func TestSweepFusedMatchesPerCell(t *testing.T) {
 
 	fused, perCell := runBothPaths(t, spec, nil)
 	assertResultsIdentical(t, "library", fused, perCell)
+
+	// Machine-axis fusion: the L2-sensitivity and NSB machines share
+	// each workload's stream, so their units pack into passes that step
+	// several machines per batch — sampled and unsampled.
+	for _, interval := range []uint64{0, 2048} {
+		machines := spec
+		machines.Name = "fused-machines"
+		machines.Workloads = []string{"Ocean", "Barnes", "WebServer", "PhasedOLTP"}
+		machines.Machines = l2Machines()
+		machines.Filters = fusedAxis()[:2]
+		machines.Interval = interval
+		if interval == 0 {
+			machines.Timelines = ""
+		}
+		fused, perCell := runBothPaths(t, machines, nil)
+		assertResultsIdentical(t, fmt.Sprintf("l2 machines, interval %d", interval), fused, perCell)
+	}
+}
+
+// l2Machines is the paper's L2-sensitivity and non-subblocked machine
+// axis: six 4-CPU machines, which share every workload's stream.
+func l2Machines() []Machine {
+	return []Machine{
+		{L2Bytes: 512 << 10},
+		{L2Bytes: 1 << 20},
+		{L2Bytes: 2 << 20},
+		{L2Bytes: 4 << 20},
+		{L2Assoc: 8},
+		{NSB: true},
+	}
 }
 
 // randomSpec draws a random but valid sweep spec: random workload
@@ -129,8 +160,17 @@ func randomSpec(rng *rand.Rand) Spec {
 		Repeat:    1 + rng.Intn(2),
 		Machines:  []Machine{{}},
 	}
-	if rng.Intn(2) == 0 {
-		spec.Machines = append(spec.Machines, Machine{CPUs: 2, L2Bytes: 512 << 10, L2Assoc: 2})
+	// Same-CPU machines differing in L2 size, associativity or
+	// subblocking share the stream; under the 2 MB machine's capacity the
+	// smaller ones pack into multi-machine passes. The 2-CPU machine gets
+	// a stream of its own.
+	if rng.Intn(4) != 0 {
+		spec.Machines = append(spec.Machines, Machine{L2Bytes: 2 << 20})
+	}
+	for _, m := range []Machine{{L2Bytes: 512 << 10, L2Assoc: 8}, {L2Bytes: 512 << 10, NSB: true}, {CPUs: 2, L2Bytes: 512 << 10, L2Assoc: 2}} {
+		if rng.Intn(2) == 0 {
+			spec.Machines = append(spec.Machines, m)
+		}
 	}
 	if rng.Intn(2) == 0 {
 		spec.FilterMode = ModeEach
@@ -157,14 +197,28 @@ func TestSweepFusedMatchesPerCellRandom(t *testing.T) {
 	if testing.Short() {
 		n = 2
 	}
+	multiMachine := 0
 	for i := 0; i < n; i++ {
 		spec := randomSpec(rng)
 		label := fmt.Sprintf("spec %d (%+v)", i, spec)
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("%s: invalid: %v", label, err)
 		}
+		cells, err := spec.Expand(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norm := spec.normalize()
+		for _, p := range planPasses(norm, cells, planGroups(norm, cells)) {
+			if cells[p[0]].Machine != cells[p[len(p)-1]].Machine {
+				multiMachine++
+			}
+		}
 		fused, perCell := runBothPaths(t, spec, nil)
 		assertResultsIdentical(t, label, fused, perCell)
+	}
+	if multiMachine == 0 {
+		t.Error("no random spec stepped several machines in one pass")
 	}
 }
 
@@ -259,6 +313,56 @@ func TestFusedCacheInterop(t *testing.T) {
 			t.Error("partially cached fused sweep diverges from the cold run")
 		}
 	})
+
+	// Across machines: the 2 MB machine runs alone and one pass steps
+	// the 1 MB and 1 MB 8-way machines over one stream. A primed member
+	// drops only its own bank, and a machine whose members are all
+	// primed drops out of the pass.
+	multi := spec
+	multi.Machines = []Machine{{L2Bytes: 2 << 20}, {}, {L2Assoc: 8}}
+	multi.Filters = fusedAxis()[:2]
+	for _, tc := range []struct {
+		name string
+		warm Spec
+	}{
+		{"one-member", Spec{Workloads: multi.Workloads, Machines: multi.Machines[1:2], Filters: multi.Filters[:1], FilterMode: ModeEach, Scale: multi.Scale}},
+		{"whole-machine", Spec{Workloads: multi.Workloads, Machines: multi.Machines[1:2], Filters: multi.Filters, FilterMode: ModeEach, NoFuse: true, Scale: multi.Scale}},
+	} {
+		t.Run("partial-cache-machines/"+tc.name, func(t *testing.T) {
+			r := testRunner(t)
+			warmed, err := Run(context.Background(), r, tc.warm, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			executed := r.Engine().Stats().Executed
+
+			s, err := Submit(r, multi, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.FusedGroups() != 2 {
+				t.Fatalf("scheduled %d fused passes, want 2", s.FusedGroups())
+			}
+			res, err := s.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			primed := len(warmed.Cells)
+			if st := s.Status(false); st.CacheHits != primed {
+				t.Errorf("%d cache hits, want %d", st.CacheHits, primed)
+			}
+			if after := r.Engine().Stats().Executed; after != executed+uint64(len(res.Cells)-primed) {
+				t.Errorf("executed %d new tasks, want %d", after-executed, len(res.Cells)-primed)
+			}
+			cold, err := Run(context.Background(), testRunner(t), multi, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, cold) {
+				t.Error("partially cached multi-machine sweep diverges from the cold run")
+			}
+		})
+	}
 }
 
 // fusedRetireCollector is an OnRetire hook buffering traces by key.
@@ -286,78 +390,93 @@ func (c *fusedRetireCollector) byKey() map[string][]engine.TaskTrace {
 // TestFusedCancelAndLoss: cancelling a fused sweep mid-run marks every
 // member cell canceled (and nothing else), and retire traces fire
 // exactly once per member with the fused kind, the submission origin,
-// and a canceled terminal state.
+// and a canceled terminal state — for a filter-fused pass on one
+// machine, and for passes that step several machines.
 func TestFusedCancelAndLoss(t *testing.T) {
-	col := &fusedRetireCollector{}
-	eng := engine.New(engine.Options{OnRetire: col.hook})
-	t.Cleanup(eng.Close)
-	r := sim.NewRunner(eng)
+	for _, tc := range []struct {
+		name     string
+		machines []Machine
+		passes   int
+	}{
+		{"one-machine", nil, 1},
+		// {1 MB} alone, then {512 KB, 512 KB NSB} in one pass.
+		{"machines", []Machine{{}, {L2Bytes: 512 << 10}, {L2Bytes: 512 << 10, NSB: true}}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := &fusedRetireCollector{}
+			eng := engine.New(engine.Options{OnRetire: col.hook, Workers: 2})
+			t.Cleanup(eng.Close)
+			r := sim.NewRunner(eng)
 
-	// A big budget keeps the fused pass running until we cancel it.
-	spec := Spec{
-		Workloads:  []string{"Fmm"},
-		Filters:    fusedAxis(),
-		FilterMode: ModeEach,
-		Scale:      100,
-	}
-	s, err := SubmitOrigin(r, spec, nil, "req-cancel-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.FusedGroups() != 1 {
-		t.Fatalf("scheduled %d fused groups, want 1", s.FusedGroups())
-	}
+			// A big budget keeps the fused passes running until we cancel.
+			spec := Spec{
+				Workloads:  []string{"Fmm"},
+				Machines:   tc.machines,
+				Filters:    fusedAxis(),
+				FilterMode: ModeEach,
+				Scale:      100,
+			}
+			s, err := SubmitOrigin(r, spec, nil, "req-cancel-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.FusedGroups() != tc.passes {
+				t.Fatalf("scheduled %d fused passes, want %d", s.FusedGroups(), tc.passes)
+			}
 
-	// Wait for the fused pass to actually start before withdrawing.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Status(false).State == "queued" && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	s.Cancel()
-	if _, err := s.Wait(context.Background()); err == nil {
-		t.Fatal("canceled fused sweep returned a result")
-	}
-	if st := s.Status(false); st.State != "canceled" {
-		t.Errorf("state %s after cancel, want canceled", st.State)
-	}
+			// Wait for the fused pass to actually start before withdrawing.
+			deadline := time.Now().Add(5 * time.Second)
+			for s.Status(false).State == "queued" && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			s.Cancel()
+			if _, err := s.Wait(context.Background()); err == nil {
+				t.Fatal("canceled fused sweep returned a result")
+			}
+			if st := s.Status(false); st.State != "canceled" {
+				t.Errorf("state %s after cancel, want canceled", st.State)
+			}
 
-	// Every member retires exactly once, as a canceled fused execution.
-	cells := s.Cells()
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if byKey := col.byKey(); len(byKey) >= len(cells) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	byKey := col.byKey()
-	for _, c := range cells {
-		trs := byKey[c.Key]
-		if len(trs) != 1 {
-			t.Fatalf("cell %s retired %d times, want exactly once", c.Key, len(trs))
-		}
-		tr := trs[0]
-		if tr.Kind != sim.KindFused {
-			t.Errorf("cell %s retired with kind %q, want %q", c.Key, tr.Kind, sim.KindFused)
-		}
-		if tr.Origin != "req-cancel-1" {
-			t.Errorf("cell %s retired with origin %q", c.Key, tr.Origin)
-		}
-		if tr.Disposition != engine.DispositionExecuted || tr.State != engine.Canceled {
-			t.Errorf("cell %s retired as %s/%v, want executed/canceled", c.Key, tr.Disposition, tr.State)
-		}
-		if tr.Err == nil || !errors.Is(tr.Err, context.Canceled) {
-			t.Errorf("cell %s retired with err %v", c.Key, tr.Err)
-		}
-	}
-	// The per-cell status JSON mirrors the same story.
-	for _, cs := range s.Status(true).Cell {
-		if cs.State != "canceled" {
-			t.Errorf("cell %d status %s, want canceled", cs.Index, cs.State)
-		}
-		if cs.Error == "" {
-			t.Errorf("cell %d lost its cancellation error", cs.Index)
-		}
+			// Every member retires exactly once, as a canceled fused execution.
+			cells := s.Cells()
+			deadline = time.Now().Add(5 * time.Second)
+			for {
+				if byKey := col.byKey(); len(byKey) >= len(cells) || time.Now().After(deadline) {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			byKey := col.byKey()
+			for _, c := range cells {
+				trs := byKey[c.Key]
+				if len(trs) != 1 {
+					t.Fatalf("cell %s retired %d times, want exactly once", c.Key, len(trs))
+				}
+				tr := trs[0]
+				if tr.Kind != sim.KindFused {
+					t.Errorf("cell %s retired with kind %q, want %q", c.Key, tr.Kind, sim.KindFused)
+				}
+				if tr.Origin != "req-cancel-1" {
+					t.Errorf("cell %s retired with origin %q", c.Key, tr.Origin)
+				}
+				if tr.Disposition != engine.DispositionExecuted || tr.State != engine.Canceled {
+					t.Errorf("cell %s retired as %s/%v, want executed/canceled", c.Key, tr.Disposition, tr.State)
+				}
+				if tr.Err == nil || !errors.Is(tr.Err, context.Canceled) {
+					t.Errorf("cell %s retired with err %v", c.Key, tr.Err)
+				}
+			}
+			// The per-cell status JSON mirrors the same story.
+			for _, cs := range s.Status(true).Cell {
+				if cs.State != "canceled" {
+					t.Errorf("cell %d status %s, want canceled", cs.Index, cs.State)
+				}
+				if cs.Error == "" {
+					t.Errorf("cell %d lost its cancellation error", cs.Index)
+				}
+			}
+
+		})
 	}
 }
 
@@ -475,6 +594,95 @@ func TestFusedGroupPlanning(t *testing.T) {
 	for _, g := range planGroups(noFuse, cells) {
 		if len(g) != 1 {
 			t.Errorf("NoFuse group %v not a singleton", g)
+		}
+	}
+	for _, p := range planPasses(noFuse, cells, planGroups(noFuse, cells)) {
+		if len(p) != 1 {
+			t.Errorf("NoFuse pass %v not a singleton", p)
+		}
+	}
+
+	// Passes: each stream's six L2 machines pack largest-L2-first under
+	// the 4 MB machine's capacity.
+	l2 := Spec{
+		Workloads:  []string{"Ocean", "Barnes"},
+		Machines:   l2Machines(),
+		Filters:    []string{"EJ-32x4", "IJ-10x4x7"},
+		FilterMode: ModeEach,
+		Scale:      0.02,
+	}
+	cells, err = l2.Expand(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm = l2.normalize()
+	var layout []string
+	for _, p := range planPasses(norm, cells, planGroups(norm, cells)) {
+		var machines []string
+		for _, i := range p {
+			if m := cells[i].Machine; !slices.Contains(machines, m) {
+				machines = append(machines, m)
+			}
+		}
+		layout = append(layout, cells[p[0]].Workload+": "+strings.Join(machines, " "))
+	}
+	want := []string{
+		"Ocean: 4cpu-4096K-4w",
+		"Ocean: 4cpu-2048K-4w 4cpu-1024K-4w 4cpu-1024K-8w",
+		"Ocean: 4cpu-1024K-4w-nsb 4cpu-512K-4w",
+		"Barnes: 4cpu-4096K-4w",
+		"Barnes: 4cpu-2048K-4w 4cpu-1024K-4w 4cpu-1024K-8w",
+		"Barnes: 4cpu-1024K-4w-nsb 4cpu-512K-4w",
+	}
+	if !slices.Equal(layout, want) {
+		t.Errorf("pass layout\n  %s\nwant\n  %s", strings.Join(layout, "\n  "), strings.Join(want, "\n  "))
+	}
+
+	// Property: over random specs, the passes partition the cells, keep
+	// units whole, share one stream each, and model no more L2 than the
+	// stream's largest unit.
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n < 200; n++ {
+		spec := randomSpec(rng)
+		cells, err := spec.Expand(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norm := spec.normalize()
+		units := planGroups(norm, cells)
+		largest := map[string]int{}
+		unitOf := make([]int, len(cells))
+		for u, g := range units {
+			k := streamKey(cells[g[0]])
+			largest[k] = max(largest[k], l2Capacity(cells[g[0]]))
+			for _, i := range g {
+				unitOf[i] = u
+			}
+		}
+		seen := make([]int, len(cells))
+		for _, p := range planPasses(norm, cells, units) {
+			k := streamKey(cells[p[0]])
+			sum := 0
+			for j, i := range p {
+				seen[i]++
+				if streamKey(cells[i]) != k {
+					t.Fatalf("spec %d: pass %v mixes streams", n, p)
+				}
+				if j == 0 || unitOf[i] != unitOf[p[j-1]] {
+					sum += l2Capacity(cells[i])
+					if len(units[unitOf[i]]) > len(p)-j || !slices.Equal(units[unitOf[i]], p[j:j+len(units[unitOf[i]])]) {
+						t.Fatalf("spec %d: pass %v splits unit %v", n, p, units[unitOf[i]])
+					}
+				}
+			}
+			if sum > largest[k] {
+				t.Fatalf("spec %d: pass %v models %d L2 bytes, above its stream's largest unit (%d)", n, p, sum, largest[k])
+			}
+		}
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("spec %d: cell %d planned %d times", n, i, c)
+			}
 		}
 	}
 }

@@ -128,9 +128,10 @@ type Spec struct {
 	Interval uint64 `json:"interval,omitempty"`
 	// NoFuse forces per-cell scheduling: every cell runs as its own
 	// engine task even when several cells could share one simulation
-	// pass (a filter-only axis in "each" mode). Results are bit-identical
-	// either way — the flag exists for A/B measurement and as an escape
-	// hatch, not for correctness.
+	// pass — neither a filter-only axis in "each" mode fuses onto one
+	// machine, nor do machines of one stream share a pass. Results are
+	// bit-identical either way — the flag exists for A/B measurement and
+	// as an escape hatch, not for correctness.
 	NoFuse bool `json:"no_fuse,omitempty"`
 	// Timelines is the per-cell timeline retention policy, applied when
 	// folding a sampled sweep (Interval > 0):

@@ -17,7 +17,7 @@ type Sweep struct {
 	origin string
 	tenant string
 	jobs   []*engine.Job
-	fused  int // fused group tasks submitted (multi-cell groups)
+	fused  int // fused passes submitted (multi-cell group tasks)
 }
 
 // Submit expands the spec and schedules every cell on the runner's
@@ -54,19 +54,20 @@ func SubmitAs(r *sim.Runner, spec Spec, traces TraceResolver, origin, tenant str
 	return s, nil
 }
 
-// scheduleCells submits the given groups of cells on the engine,
-// returning the jobs keyed by cell index and the count of multi-cell
-// fused groups. Each group must share one reference stream (the
-// planGroups contract); singleton groups schedule per cell.
-func scheduleCells(r *sim.Runner, spec Spec, cells []Cell, groups [][]int, origin, tenant string) (map[int]*engine.Job, int) {
+// scheduleCells packs the given units of cells (the planGroups
+// contract: each shares one reference stream and one machine) into
+// passes (planPasses) and submits each pass on the engine, returning
+// the jobs keyed by cell index and the count of multi-cell fused
+// passes. A pass of one cell schedules as a plain per-cell task.
+func scheduleCells(r *sim.Runner, spec Spec, cells []Cell, units [][]int, origin, tenant string) (map[int]*engine.Job, int) {
 	jobs := make(map[int]*engine.Job, len(cells))
 	fused := 0
 	opt := sim.SampleOptions{Interval: spec.Interval}
-	for _, group := range groups {
-		if len(group) == 1 {
+	for _, pass := range planPasses(spec, cells, units) {
+		if len(pass) == 1 {
 			// Cells carry the "sweep" task kind so jettyd's per-kind latency
 			// histograms separate cell durations from one-off experiment runs.
-			i := group[0]
+			i := pass[0]
 			c := cells[i]
 			var t engine.Task
 			switch {
@@ -85,28 +86,28 @@ func scheduleCells(r *sim.Runner, spec Spec, cells []Cell, groups [][]int, origi
 			jobs[i] = r.Engine().Submit(t)
 			continue
 		}
-		// Every cell in this group measures the same reference stream on
-		// the same machine — only the observer bank differs — so the whole
-		// group fuses onto one simulation pass (see plan.go). Member keys
-		// are the cells' own per-cell content addresses: the engine caches
-		// each member under the key a per-cell run would use, so fused and
-		// per-cell sweeps interoperate through the cache transparently.
-		members := make([]sim.FusedMember, len(group))
-		for k, i := range group {
-			members[k] = sim.FusedMember{Key: cells[i].Key, Bank: cells[i].cfg.Filters}
+		// Every cell in this pass measures the same reference stream;
+		// cells on the same machine differ only in their observer bank
+		// (see plan.go). The pass generates the stream once and steps one
+		// wide machine per machine over it. Member keys are the cells' own
+		// per-cell content addresses: the engine caches each member under
+		// the key a per-cell run would use, so fused and per-cell sweeps
+		// interoperate through the cache transparently.
+		members := make([]sim.FusedMember, len(pass))
+		for k, i := range pass {
+			members[k] = sim.FusedMember{Key: cells[i].Key, Machine: cells[i].cfg.WithoutFilters(), Bank: cells[i].cfg.Filters}
 		}
-		lead := cells[group[0]]
-		base := lead.cfg.WithoutFilters()
+		lead := cells[pass[0]]
 		var g engine.GroupTask
 		if lead.trace != nil {
-			g = sim.FusedTraceGroup(*lead.trace, base, members, opt)
+			g = sim.FusedTraceGroup(*lead.trace, members, opt)
 		} else {
-			g = sim.FusedAppGroup(lead.spec, base, members, opt)
+			g = sim.FusedAppGroup(lead.spec, members, opt)
 		}
 		g.Origin = origin
 		g.Tenant = tenant
 		groupJobs := r.Engine().SubmitGroup(g)
-		for k, i := range group {
+		for k, i := range pass {
 			jobs[i] = groupJobs[k]
 		}
 		fused++
@@ -117,7 +118,8 @@ func scheduleCells(r *sim.Runner, spec Spec, cells []Cell, groups [][]int, origi
 // CellSet is a scheduled subset of a sweep's cells: a cluster worker's
 // share of a distributed sweep. The subset replans fusion among its own
 // members (cells sharing a reference stream still fuse even when the
-// coordinator split their siblings across other workers).
+// coordinator split their siblings across other workers), units and
+// passes alike.
 type CellSet struct {
 	cells []Cell // requested subset, in request order
 	jobs  []*engine.Job
@@ -161,7 +163,7 @@ func SubmitCells(r *sim.Runner, spec Spec, traces TraceResolver, origin, tenant 
 // Cells returns the scheduled subset in request order.
 func (cs *CellSet) Cells() []Cell { return cs.cells }
 
-// FusedGroups returns how many multi-cell fused group tasks the subset
+// FusedGroups returns how many multi-cell fused passes the subset
 // scheduled.
 func (cs *CellSet) FusedGroups() int { return cs.fused }
 
@@ -230,7 +232,7 @@ func (cs *CellSet) Dispositions() []string {
 	return out
 }
 
-// FusedGroups returns how many multi-cell fused group tasks the sweep
+// FusedGroups returns how many multi-cell fused passes the sweep
 // scheduled (0 when every cell ran individually).
 func (s *Sweep) FusedGroups() int { return s.fused }
 
