@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"sort"
 
 	"jetty/internal/sim"
@@ -77,12 +76,14 @@ func planGroups(spec Spec, cells []Cell) [][]int {
 }
 
 // streamKey identifies the reference stream a cell's pass consumes:
-// the workload spec or trace digest, and the CPU count.
+// the workload spec or trace digest, and the CPU count, content-
+// addressed like planGroups' unit key.
 func streamKey(c Cell) string {
+	cpus := smp.Config{CPUs: c.cfg.CPUs}
 	if c.trace != nil {
-		return fmt.Sprintf("trace %s on %d cpus", c.trace.Digest, c.cfg.CPUs)
+		return sim.TraceFingerprint(c.trace.Digest, cpus)
 	}
-	return sim.Fingerprint(c.spec, smp.Config{CPUs: c.cfg.CPUs})
+	return sim.Fingerprint(c.spec, cpus)
 }
 
 // l2Capacity is the L2 memory one unit's machine models.
